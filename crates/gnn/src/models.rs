@@ -49,6 +49,28 @@ pub trait Model: Send + Sync {
     }
 }
 
+/// `mean_{u→v}(h[u]) · W`, with the generalized SpMM (the hot op) run at
+/// the narrower of `W`'s two widths.
+///
+/// Mean aggregation is linear, so `mean(h)·W = mean(h·W)` up to rounding:
+/// when `W` narrows the features (`cols < rows`) the matmul goes first and
+/// the SpMM moves `cols` instead of `rows` floats per edge; otherwise the
+/// aggregation goes first. The order depends only on `W`'s shape; the
+/// matmul computes each row from that row alone, and the aggregation sums a
+/// destination's in-edges in the order sampled subgraphs and shard-local
+/// CSRs preserve, so full-graph, sampled and sharded runs of the same layer
+/// still agree bitwise with each other.
+fn mean_aggregate_linear(tape: &mut Tape<'_>, h: Var, w: Var) -> Var {
+    let (rows, cols) = tape.value(w).shape();
+    if cols < rows {
+        let hw = tape.matmul(h, w);
+        tape.mean_spmm(hw)
+    } else {
+        let agg = tape.mean_spmm(h);
+        tape.matmul(agg, w)
+    }
+}
+
 /// 2-layer graph convolutional network (Kipf & Welling): sum aggregation,
 /// `softmax(Â ReLU(Â X W₁) W₂)` (bias terms included; normalization by
 /// degree is folded into the aggregation choice).
@@ -93,10 +115,8 @@ impl Model for Gcn {
         };
         let w = tape.leaf(w.value.clone());
         let b = tape.leaf(b.value.clone());
-        // aggregate then transform (generalized SpMM is the hot op)
         let _span = span!("model/layer", "model=GCN layer={}", layer + 1);
-        let agg = tape.mean_spmm(h);
-        let lin = tape.matmul(agg, w);
+        let lin = mean_aggregate_linear(tape, h, w);
         let pre = tape.add_bias(lin, b);
         let out = if layer == 0 { tape.relu(pre) } else { pre };
         (out, vec![w, b])
@@ -160,8 +180,7 @@ impl Model for GraphSage {
         let pre = {
             let _span = span!("model/layer", "model=GraphSage layer={}", layer + 1);
             let selfpart = tape.matmul(h, ws);
-            let agg = tape.mean_spmm(h);
-            let neighpart = tape.matmul(agg, wn);
+            let neighpart = mean_aggregate_linear(tape, h, wn);
             let sum = tape.add(selfpart, neighpart);
             tape.add_bias(sum, b)
         };

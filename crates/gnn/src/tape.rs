@@ -7,6 +7,8 @@
 //! through the active [`GraphBackend`], so the same model trains on the
 //! naive or the FeatGraph backend bit-for-bit identically.
 
+use std::borrow::Cow;
+
 use fg_tensor::ops as dops;
 use fg_tensor::Dense2;
 
@@ -43,8 +45,10 @@ enum Op {
     FusedAttention,
 }
 
-struct Node {
-    value: Dense2<f32>,
+struct Node<'g> {
+    /// Borrowed for [`Tape::input`] leaves (the caller's tensor, never
+    /// copied), owned for everything the tape computes.
+    value: Cow<'g, Dense2<f32>>,
     grad: Option<Dense2<f32>>,
     op: Op,
 }
@@ -55,7 +59,7 @@ pub struct Tape<'g> {
     graph: &'g GnnGraph,
     backend: &'g dyn GraphBackend,
     dense_gpu: Option<&'g GpuCostModel>,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<'g>>,
     inference: bool,
 }
 
@@ -92,6 +96,10 @@ impl<'g> Tape<'g> {
     }
 
     fn push(&mut self, value: Dense2<f32>, op: Op) -> Var {
+        self.push_node(Cow::Owned(value), op)
+    }
+
+    fn push_node(&mut self, value: Cow<'g, Dense2<f32>>, op: Op) -> Var {
         self.nodes.push(Node {
             value,
             grad: None,
@@ -109,6 +117,13 @@ impl<'g> Tape<'g> {
     /// Insert an input/parameter tensor.
     pub fn leaf(&mut self, value: Dense2<f32>) -> Var {
         self.push(value, Op::Leaf)
+    }
+
+    /// Insert an input tensor the tape borrows instead of copying: a leaf
+    /// like [`Tape::leaf`] (its gradient accumulates as usual), but the
+    /// caller's feature matrix is read in place for the tape's lifetime.
+    pub fn input(&mut self, value: &'g Dense2<f32>) -> Var {
+        self.push_node(Cow::Borrowed(value), Op::Leaf)
     }
 
     /// Value of a node.
@@ -349,8 +364,7 @@ impl<'g> Tape<'g> {
                     self.accumulate(b, gb);
                 }
                 Op::EdgeSoftmax(e) => {
-                    let y = self.nodes[i].value.clone();
-                    let gx = edge_softmax_backward(self.graph, &y, &g);
+                    let gx = edge_softmax_backward(self.graph, &self.nodes[i].value, &g);
                     self.accumulate(e, gx);
                 }
                 Op::FusedAttention => {
@@ -422,6 +436,7 @@ fn edge_softmax_backward(g: &GnnGraph, y: &Dense2<f32>, grad: &Dense2<f32>) -> D
 mod tests {
     use super::*;
     use crate::backend::{FeatgraphBackend, NaiveBackend};
+    use crate::models::Model;
     use fg_graph::generators;
 
     fn setup() -> (GnnGraph, FeatgraphBackend) {
@@ -509,6 +524,40 @@ mod tests {
     #[test]
     fn mean_spmm_gradient() {
         check_gradient(|t, x| t.mean_spmm(x), 30, 3);
+    }
+
+    #[test]
+    fn reordered_gcn_layers_gradient_matches_finite_difference() {
+        // Both GCN layers narrow (6 → 3, then 3 → 2), so each runs
+        // transform-first: matmul, then mean SpMM.
+        let gcn = crate::models::Gcn::new(6, 3, 2, 4);
+        check_gradient(|t, x| gcn.forward_layer(t, x, 0).0, 30, 6);
+        check_gradient(|t, x| gcn.forward_layer(t, x, 1).0, 30, 3);
+        check_gradient(|t, x| gcn.forward(t, x).0, 30, 6);
+    }
+
+    #[test]
+    fn input_leaf_gradient_is_bitwise_the_cloned_leaf() {
+        let (g, backend) = setup();
+        let x0 = feats(30, 6, 2);
+        let target = feats(30, 2, 5);
+        for name in ["gcn", "graphsage", "gat"] {
+            let model = crate::models::build_model(name, 6, 4, 2, 8);
+            let run = |borrow: bool| -> Vec<u32> {
+                let mut tape = Tape::new(&g, &backend, None);
+                let x = if borrow {
+                    let x = tape.input(&x0);
+                    assert_eq!(tape.value(x).as_slice().as_ptr(), x0.as_slice().as_ptr());
+                    x
+                } else {
+                    tape.leaf(x0.clone())
+                };
+                let (y, _) = model.forward(&mut tape, x);
+                tape.backward(y, target.clone());
+                tape.grad(x).as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(run(true), run(false), "{name}");
+        }
     }
 
     #[test]

@@ -59,12 +59,12 @@ pub fn train(
     }
     for epoch in 1..=epochs {
         let _epoch_span = span!("train/epoch", "epoch={epoch}/{epochs}");
-        // Per-epoch tensor traffic (leaf clone, layer activations, grads)
-        // is attributed to the tape, not the caller's ambient scope.
+        // Per-epoch tensor traffic (layer activations, grads) is
+        // attributed to the tape, not the caller's ambient scope.
         let _mem = fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::TapeActivations);
         let t0 = Instant::now();
         let mut tape = Tape::new(&task.graph, backend, dense_gpu);
-        let x = tape.leaf(task.features.clone());
+        let x = tape.input(&task.features);
         let (logits_var, pvars) = {
             let _fwd_span = span!("train/forward", "epoch={epoch}");
             model.forward(&mut tape, x)
@@ -124,7 +124,7 @@ pub fn inference(
     let _mem = fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::TapeActivations);
     let t0 = Instant::now();
     let mut tape = Tape::for_inference(&task.graph, backend, dense_gpu);
-    let x = tape.leaf(task.features.clone());
+    let x = tape.input(&task.features);
     let (logits_var, _) = model.forward(&mut tape, x);
     let seconds = t0.elapsed().as_secs_f64();
     let gpu_ms = backend.take_gpu_ms() + dense_gpu.map_or(0.0, GpuCostModel::take);
@@ -206,7 +206,7 @@ pub fn infer_batch(
     let _mem = (fg_telemetry::current_component() == fg_telemetry::MemComponent::Scratch)
         .then(|| fg_telemetry::MemScope::enter(fg_telemetry::MemComponent::TapeActivations));
     let mut tape = Tape::for_inference(graph, backend, None);
-    let x = tape.leaf(features.clone());
+    let x = tape.input(features);
     let (logits_var, _) = model.forward(&mut tape, x);
     let logits = tape.value(logits_var);
     Ok(nodes.iter().map(|&v| logits.row(v).to_vec()).collect())
@@ -217,6 +217,8 @@ mod tests {
     use super::*;
     use crate::backend::{FeatgraphBackend, NaiveBackend};
     use crate::models::build_model;
+    use crate::nn::Param;
+    use crate::tape::Var;
 
     fn small_task() -> SbmTask {
         SbmTask::generate(300, 3, 12, 3, 42)
@@ -314,6 +316,45 @@ mod tests {
         ));
     }
 
+    /// Delegates to a real model and records where its layer-0 input lives.
+    struct InputProbe {
+        inner: Box<dyn Model>,
+        input_addr: std::sync::Mutex<Option<usize>>,
+    }
+
+    impl Model for InputProbe {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn params(&mut self) -> Vec<&mut Param> {
+            self.inner.params()
+        }
+        fn num_layers(&self) -> usize {
+            self.inner.num_layers()
+        }
+        fn forward_layer(&self, tape: &mut Tape<'_>, h: Var, layer: usize) -> (Var, Vec<Var>) {
+            if layer == 0 {
+                *self.input_addr.lock().unwrap() = Some(tape.value(h).as_slice().as_ptr() as usize);
+            }
+            self.inner.forward_layer(tape, h, layer)
+        }
+    }
+
+    #[test]
+    fn infer_batch_and_inference_read_features_in_place() {
+        let task = small_task();
+        let backend = FeatgraphBackend::cpu(1);
+        let probe = InputProbe {
+            inner: build_model("gcn", task.in_dim(), 8, task.num_classes, 2),
+            input_addr: std::sync::Mutex::new(None),
+        };
+        let caller = task.features.as_slice().as_ptr() as usize;
+        infer_batch(&probe, &task.graph, &task.features, &backend, &[0, 7]).unwrap();
+        assert_eq!(probe.input_addr.lock().unwrap().take(), Some(caller), "infer_batch copied");
+        let _ = inference(&probe, &task, &backend, None);
+        assert_eq!(probe.input_addr.lock().unwrap().take(), Some(caller), "inference copied");
+    }
+
     #[test]
     fn gat_inference_fused_path_matches_training_forward() {
         let task = small_task();
@@ -323,7 +364,7 @@ mod tests {
         let (fused_logits, _, _) = inference(model.as_ref(), &task, &backend, None);
         // a training tape runs the unfused differentiable chain
         let mut tape = Tape::new(&task.graph, &backend, None);
-        let x = tape.leaf(task.features.clone());
+        let x = tape.input(&task.features);
         let (lv, _) = model.forward(&mut tape, x);
         assert!(
             fused_logits.approx_eq(tape.value(lv), 1e-3),

@@ -4,13 +4,25 @@
 //! (a) the naive GNN backend (which materializes messages through dense ops,
 //! like DGL without FeatGraph), and (b) tests, as ground truth for the
 //! optimized kernels. Inner loops are written over slices so LLVM can
-//! auto-vectorize, but no cache blocking or parallelism is applied here.
+//! auto-vectorize; apart from [`matmul`]'s register-resident column blocks
+//! (which keep its summation order), no blocking or parallelism is applied.
 
 use crate::dense::Dense2;
 use crate::error::{ShapeError, TensorResult};
 use crate::scalar::Scalar;
 
+/// Output columns [`matmul`] accumulates at once: a fixed-size block the
+/// compiler keeps in vector registers across the whole `k` loop.
+const MATMUL_COL_BLOCK: usize = 16;
+
 /// `out = a × b` (row-major GEMM, no transposes).
+///
+/// Each output row is computed in blocks of [`MATMUL_COL_BLOCK`] columns
+/// whose accumulators live in registers for the whole `k` loop, instead of
+/// reloading and storing the output row once per `k`. Every element still
+/// starts at zero and adds `a[i][k] · b[k][j]` in ascending `k`, so the
+/// result is bitwise identical to the plain i-k-j loop, and each output row
+/// depends only on its own row of `a`.
 pub fn matmul<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> TensorResult<Dense2<S>> {
     if a.cols() != b.rows() {
         return Err(ShapeError::DimMismatch {
@@ -19,17 +31,31 @@ pub fn matmul<S: Scalar>(a: &Dense2<S>, b: &Dense2<S>) -> TensorResult<Dense2<S>
             rhs: vec![b.rows(), b.cols()],
         });
     }
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (m, n) = (a.rows(), b.cols());
     let mut out = Dense2::zeros(m, n);
+    let full = n - n % MATMUL_COL_BLOCK;
     for i in 0..m {
         let arow = a.row(i);
         let orow = out.row_mut(i);
-        // i-k-j order: the inner j loop is a vectorizable axpy over b's row.
-        for (kk, &aval) in arow.iter().enumerate().take(k) {
-            let brow = b.row(kk);
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += aval * bv;
+        for j0 in (0..full).step_by(MATMUL_COL_BLOCK) {
+            let mut acc = [S::ZERO; MATMUL_COL_BLOCK];
+            for (kk, &aval) in arow.iter().enumerate() {
+                let bseg = &b.row(kk)[j0..j0 + MATMUL_COL_BLOCK];
+                for (o, &bv) in acc.iter_mut().zip(bseg) {
+                    *o += aval * bv;
+                }
             }
+            orow[j0..j0 + MATMUL_COL_BLOCK].copy_from_slice(&acc);
+        }
+        if full < n {
+            let mut acc = [S::ZERO; MATMUL_COL_BLOCK];
+            let acc = &mut acc[..n - full];
+            for (kk, &aval) in arow.iter().enumerate() {
+                for (o, &bv) in acc.iter_mut().zip(&b.row(kk)[full..]) {
+                    *o += aval * bv;
+                }
+            }
+            orow[full..].copy_from_slice(acc);
         }
     }
     Ok(out)

@@ -12,6 +12,46 @@ fn matrices(max_dim: usize) -> impl Strategy<Value = Dense2<f64>> {
     })
 }
 
+const MATMUL_WIDTHS: [usize; 6] = [1, 15, 16, 17, 33, 64];
+
+/// Off-lattice f32 values with mixed signs and magnitudes, so any change
+/// in summation order shows up in the low bits.
+fn lattice_f32(r: usize, c: usize, seed: u64) -> Dense2<f32> {
+    Dense2::from_fn(r, c, |i, j| {
+        let h = ((i * 131 + j * 7919) as u64 ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        ((h >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * (1.0 + (h % 7) as f32 * 3.1)
+    })
+}
+
+/// The plain i-k-j reference loop: each output element starts at zero and
+/// adds `a[i][kk] * b[kk][j]` for ascending `kk`.
+fn ikj_matmul(a: &Dense2<f32>, b: &Dense2<f32>) -> Dense2<f32> {
+    let mut out = Dense2::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for kk in 0..a.cols() {
+            let aval = a.at(i, kk);
+            for j in 0..b.cols() {
+                out.set(i, j, out.at(i, j) + aval * b.at(kk, j));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn blocked_matmul_handles_empty_dimensions() {
+    for n in MATMUL_WIDTHS {
+        for (m, k) in [(0, 3), (3, 0), (0, 0)] {
+            let a = lattice_f32(m, k, 1);
+            let b = lattice_f32(k, n, 2);
+            let got = ops::matmul(&a, &b).unwrap();
+            assert_eq!(got.shape(), (m, n));
+            // k = 0: every element is the empty sum, +0.0
+            assert!(got.as_slice().iter().all(|v| v.to_bits() == 0), "m={m} k={k} n={n}");
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn tiles_partition_the_axis(cols in 0usize..500, parts in 1usize..40) {
@@ -79,6 +119,26 @@ proptest! {
         let ab_t = ops::transpose(&ops::matmul(&a, &b).unwrap());
         let bt_at = ops::matmul(&ops::transpose(&b), &ops::transpose(&a)).unwrap();
         prop_assert!(ab_t.approx_eq(&bt_at, 1e-9));
+    }
+
+    #[test]
+    fn blocked_matmul_is_bitwise_the_ikj_loop(
+        m in 0usize..5,
+        k in 0usize..9,
+        ni in 0usize..MATMUL_WIDTHS.len(),
+        seed in 0u64..1000,
+    ) {
+        // widths straddle the 16-column accumulator block: below, at, just
+        // past, two blocks plus one, and four full blocks
+        let n = MATMUL_WIDTHS[ni];
+        let a = lattice_f32(m, k, seed);
+        let b = lattice_f32(k, n, seed ^ 0x5a5a);
+        let got = ops::matmul(&a, &b).unwrap();
+        let want = ikj_matmul(&a, &b);
+        prop_assert_eq!(got.shape(), (m, n));
+        let got_bits: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+        let want_bits: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got_bits, want_bits);
     }
 
     #[test]
